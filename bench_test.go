@@ -53,11 +53,7 @@ func plainTrace(seed int64) *pktgen.Trace {
 
 func queueTrace(seed int64) *pktgen.Trace {
 	tr := pktgen.Generate(pktgen.Config{Flows: 256, Packets: 8192, Seed: seed})
-	tr.ApplyOpMix([]uint32{nf.OpEnqueue, nf.OpDequeue}, []int{1, 1})
-	tr.ApplyArgKeys(0)
-	for i := range tr.Packets {
-		tr.Packets[i].SetTS(uint64(i / 2))
-	}
+	tr.Queueize()
 	return tr
 }
 

@@ -10,13 +10,15 @@
 //	curl -X DELETE localhost:8080/modules/cmsketch-1
 //
 // -smoke runs a self-contained lifecycle check over a loopback
-// listener (create → ingest → estimate → metrics → delete → shutdown)
+// listener (create → ingest → estimate → metrics → delete → raw ingest
+// into a 2-shard module → shutdown)
 // and exits non-zero on any failure — the `make nfd-smoke` gate.
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,7 +30,9 @@ import (
 	"syscall"
 	"time"
 
+	"enetstl/internal/harness"
 	"enetstl/internal/nfd"
+	"enetstl/internal/pktgen"
 	"enetstl/internal/runtime"
 )
 
@@ -166,12 +170,44 @@ func runSmoke(srv *nfd.Server) int {
 		return fail("post-delete get", err)
 	}
 
+	// A raw (base64) batch into a 2-shard module: raw bodies carry no
+	// flow table, so the sharder partitions them by packet key alone,
+	// and the merged tally must still cover every packet.
+	tr := pktgen.Generate(pktgen.Config{Flows: 64, Packets: 256, Seed: 7})
+	spec := runtime.TraceSpec{Raw: make([]string, len(tr.Packets))}
+	for i := range tr.Packets {
+		spec.Raw[i] = base64.StdEncoding.EncodeToString(tr.Packets[i][:])
+	}
+	rawBody, err := json.Marshal(spec)
+	if err != nil {
+		return fail("raw sharded ingest", err)
+	}
+	if err := call(base, "POST", "/modules", `{"name": "cuckooswitch", "flavor": "ebpf",
+		"options": {"shards": 2}, "trace": {"flows": 64, "packets": 256, "seed": 7}}`,
+		http.StatusCreated, &created); err != nil {
+		return fail("create sharded", err)
+	}
+	var rawBatch harness.BatchResult
+	if err := call(base, "POST", "/modules/"+created.ID+"/packets", string(rawBody), http.StatusOK, &rawBatch); err != nil {
+		return fail("raw sharded ingest", err)
+	}
+	var tallied uint64
+	for _, n := range rawBatch.VerdictMap {
+		tallied += n
+	}
+	if tallied != uint64(len(spec.Raw)) {
+		return fail("raw sharded ingest", fmt.Errorf("tallied %d of %d packets", tallied, len(spec.Raw)))
+	}
+	if err := call(base, "DELETE", "/modules/"+created.ID, "", http.StatusOK, nil); err != nil {
+		return fail("delete sharded", err)
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		return fail("shutdown", err)
 	}
-	fmt.Println("nfd-smoke: ok (create → ingest → estimate → stats → metrics → delete → shutdown)")
+	fmt.Println("nfd-smoke: ok (create → ingest → estimate → stats → metrics → delete → raw sharded ingest → shutdown)")
 	return 0
 }
 

@@ -521,20 +521,17 @@ func runGuarded(name string, flavor nf.Flavor, tr *pktgen.Trace, stats bool, srv
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	start := time.Now()
-	for i := range tr.Packets {
-		// ProcessAt keeps the trace's arrival clock, so attack-window
-		// bursts are visible to the token bucket; obs.Instrument would
-		// flatten the replay back onto the one-tick-per-packet clock.
-		if _, _, err := w.ProcessAt(tr.Packets[i][:], tr.ArrivalOf(i)); err != nil {
-			fmt.Fprintf(os.Stderr, "packet %d: %v\n", i, err)
-			os.Exit(1)
-		}
+	// ReplayBatch drives the guard on the trace's arrival clock, so
+	// attack-window bursts are visible to the token bucket;
+	// obs.Instrument would flatten the replay back onto the
+	// one-tick-per-packet clock.
+	res, _, err := harness.ReplayBatch(w, tr, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	elapsed := time.Since(start)
-	pps := float64(len(tr.Packets)) / elapsed.Seconds()
 	fmt.Printf("%s/%s +guard: %d packets in %s, %.0f pps\n",
-		w.Name(), w.Flavor(), len(tr.Packets), elapsed.Round(time.Microsecond), pps)
+		w.Name(), w.Flavor(), res.Packets, time.Duration(res.Ns).Round(time.Microsecond), res.PPS())
 	fmt.Printf("guard: budget=%d insns, admitted=%d shed=%d sampled-out=%d, shed-enters=%d watchdog-trips=%d degrade-enters=%d degraded=%v\n",
 		g.Budget(), g.Admitted(), g.Shed(), g.SampledOut(),
 		g.ShedEnters(), g.WatchdogTrips(), g.DegradeEnters(), g.Degraded())

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"enetstl/internal/ebpf/maps"
+	"enetstl/internal/harness"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
@@ -309,17 +310,6 @@ func RunMicros(cfg Config) ([]MicroResult, float64, error) {
 	return out, math.Exp(logSum / float64(len(out))), nil
 }
 
-// sampleTrace times one full replay pass, returning pps.
-func sampleTrace(inst nf.Instance, trace *pktgen.Trace) (float64, error) {
-	start := time.Now()
-	for i := range trace.Packets {
-		if _, err := inst.Process(trace.Packets[i][:]); err != nil {
-			return 0, fmt.Errorf("%s/%s: packet %d: %w", inst.Name(), inst.Flavor(), i, err)
-		}
-	}
-	return float64(len(trace.Packets)) / time.Since(start).Seconds(), nil
-}
-
 // RunMacro measures the lookup-heavy conntrack replay (flow table is
 // the only hot map) under each core, in both map-driven flavours,
 // interleaved best of cfg.Reps passes. The flow count sits below the
@@ -341,7 +331,7 @@ func RunMacro(cfg Config) ([]MacroResult, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("conntrack/%v@%v: %w", flavor, impl, err)
 			}
-			if _, err := sampleTrace(inst, tr); err != nil { // warm-up pass
+			if _, _, err := harness.ReplayBatch(inst, tr, 0); err != nil { // warm-up pass
 				return nil, nil, err
 			}
 			return inst, tr, nil
@@ -356,16 +346,16 @@ func RunMacro(cfg Config) ([]MacroResult, error) {
 		}
 		res := MacroResult{NF: fmt.Sprintf("conntrack/%v", flavor)}
 		for rep := 0; rep < cfg.Reps; rep++ {
-			f, err := sampleTrace(fi, ft)
+			f, _, err := harness.ReplayBatch(fi, ft, 0)
 			if err != nil {
 				return nil, err
 			}
-			b, err := sampleTrace(bi, bt)
+			b, _, err := harness.ReplayBatch(bi, bt, 0)
 			if err != nil {
 				return nil, err
 			}
-			res.FlatPPS = math.Max(res.FlatPPS, f)
-			res.BucketPPS = math.Max(res.BucketPPS, b)
+			res.FlatPPS = math.Max(res.FlatPPS, f.PPS())
+			res.BucketPPS = math.Max(res.BucketPPS, b.PPS())
 		}
 		res.Speedup = res.BucketPPS / res.FlatPPS
 		out = append(out, res)

@@ -18,6 +18,7 @@ import (
 	"enetstl/internal/ebpf/asm"
 	"enetstl/internal/ebpf/maps"
 	"enetstl/internal/ebpf/vm"
+	"enetstl/internal/harness"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
@@ -276,17 +277,6 @@ func Fig3NFs() []string {
 	}
 }
 
-// sampleTrace times one full replay pass, returning pps.
-func sampleTrace(inst nf.Instance, trace *pktgen.Trace) (float64, error) {
-	start := time.Now()
-	for i := range trace.Packets {
-		if _, err := inst.Process(trace.Packets[i][:]); err != nil {
-			return 0, fmt.Errorf("%s/%s: packet %d: %w", inst.Name(), inst.Flavor(), i, err)
-		}
-	}
-	return float64(len(trace.Packets)) / time.Since(start).Seconds(), nil
-}
-
 // RunFig3 measures every Fig. 3 NF in the eBPF flavour on all three
 // interpreter tiers (interleaved, best of cfg.Reps passes) plus the
 // eNetSTL flavour on the jit tier, for the cross-flavour ordering.
@@ -308,7 +298,7 @@ func RunFig3(cfg Config) ([]NFResult, error) {
 				return nil, nil, fmt.Errorf("%s/%v: not VM-backed", name, flavor)
 			}
 			v.VM().SetTier(tier)
-			if _, err := sampleTrace(inst, tr); err != nil { // warm-up pass
+			if _, _, err := harness.ReplayBatch(inst, tr, 0); err != nil { // warm-up pass
 				return nil, nil, err
 			}
 			return inst, tr, nil
@@ -337,11 +327,11 @@ func RunFig3(cfg Config) ([]NFResult, error) {
 				best  *float64
 			}{{wi, wt, &res.WirePPS}, {fi, ft, &res.FastPPS},
 				{ji, jt, &res.JitPPS}, {ei, et, &res.ENetSTLPPS}} {
-				pps, err := sampleTrace(s.inst, s.trace)
+				r, _, err := harness.ReplayBatch(s.inst, s.trace, 0)
 				if err != nil {
 					return nil, err
 				}
-				*s.best = math.Max(*s.best, pps)
+				*s.best = math.Max(*s.best, r.PPS())
 			}
 		}
 		res.FastSpeedup = res.FastPPS / res.WirePPS

@@ -28,11 +28,7 @@ func Fig1(opts Options) (*Table, error) {
 	}
 	plainTrace := pktgen.Generate(pktgen.Config{Flows: 1024, Packets: o.Packets, ZipfS: 1.1, Seed: 902})
 	qTrace := pktgen.Generate(pktgen.Config{Flows: 1024, Packets: o.Packets, Seed: 901})
-	qTrace.ApplyOpMix([]uint32{nf.OpEnqueue, nf.OpDequeue}, []int{1, 1})
-	qTrace.ApplyArgKeys(0)
-	for i := range qTrace.Packets {
-		qTrace.Packets[i].SetTS(uint64(i / 2))
-	}
+	qTrace.Queueize()
 
 	type pair struct {
 		obs, name      string
@@ -118,11 +114,7 @@ func heavyInstances(o Options, flavor nf.Flavor) (map[string]nf.Instance, map[st
 
 	plain := pktgen.Generate(pktgen.Config{Flows: 2048, Packets: o.Packets / 4, ZipfS: 1.1, Seed: 950})
 	qtr := pktgen.Generate(pktgen.Config{Flows: 256, Packets: o.Packets / 4, Seed: 951})
-	qtr.ApplyOpMix([]uint32{nf.OpEnqueue, nf.OpDequeue}, []int{1, 1})
-	qtr.ApplyArgKeys(0)
-	for i := range qtr.Packets {
-		qtr.Packets[i].SetTS(uint64(i / 2))
-	}
+	qtr.Queueize()
 
 	add := func(name string, inst nf.Instance, err error, tr *pktgen.Trace) error {
 		if err != nil {

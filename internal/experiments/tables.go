@@ -34,11 +34,7 @@ func Table1(opts Options) (*Table, error) {
 	}
 	plain := pktgen.Generate(pktgen.Config{Flows: 2048, Packets: o.Packets / 2, ZipfS: 1.1, Seed: 980})
 	qtr := pktgen.Generate(pktgen.Config{Flows: 256, Packets: o.Packets / 2, Seed: 981})
-	qtr.ApplyOpMix([]uint32{nf.OpEnqueue, nf.OpDequeue}, []int{1, 1})
-	qtr.ApplyArgKeys(0)
-	for i := range qtr.Packets {
-		qtr.Packets[i].SetTS(uint64(i / 2))
-	}
+	qtr.Queueize()
 
 	degrade := func(kern, ebpf nf.Instance, trace *pktgen.Trace) (string, error) {
 		rk, err := harness.Throughput(kern, trace, o.Trials)
@@ -194,11 +190,7 @@ func Table2(opts Options) (*Table, error) {
 	}
 	plain := pktgen.Generate(pktgen.Config{Flows: 1024, Packets: o.Packets / 2, ZipfS: 1.1, Seed: 990})
 	qtr := pktgen.Generate(pktgen.Config{Flows: 256, Packets: o.Packets / 2, Seed: 991})
-	qtr.ApplyOpMix([]uint32{nf.OpEnqueue, nf.OpDequeue}, []int{1, 1})
-	qtr.ApplyArgKeys(0)
-	for i := range qtr.Packets {
-		qtr.Packets[i].SetTS(uint64(i / 2))
-	}
+	qtr.Queueize()
 
 	row := func(component, carrier string, eb, es nf.Instance, trace *pktgen.Trace) error {
 		re, err := harness.Throughput(eb, trace, o.Trials)

@@ -18,29 +18,7 @@ type Guarded struct {
 // Wrap puts g in front of inst. The instance's VMs (including pipeline
 // stages') are harvested once for instruction metering.
 func (g *Guard) Wrap(inst nf.Instance) *Guarded {
-	return &Guarded{inner: inst, g: g, vms: vmsOf(inst)}
-}
-
-// vmsOf collects the VMs backing an instance: the instance's own and,
-// for pipelines, every stage's — the same duck typing the chaos
-// harness uses.
-func vmsOf(inst nf.Instance) []*vm.VM {
-	var out []*vm.VM
-	if v, ok := inst.(interface{ VM() *vm.VM }); ok {
-		if m := v.VM(); m != nil {
-			out = append(out, m)
-		}
-	}
-	if s, ok := inst.(interface{ Stages() []nf.Instance }); ok {
-		for _, st := range s.Stages() {
-			if v, ok := st.(interface{ VM() *vm.VM }); ok {
-				if m := v.VM(); m != nil {
-					out = append(out, m)
-				}
-			}
-		}
-	}
-	return out
+	return &Guarded{inner: inst, g: g, vms: nf.VMs(inst)}
 }
 
 // Guard returns the attached guard.

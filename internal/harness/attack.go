@@ -20,6 +20,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
 	"enetstl/internal/ebpf/vm"
@@ -137,20 +138,6 @@ func (r *AttackResult) Publish(reg *telemetry.Registry) {
 // true count.
 const maxAttackViolations = 100
 
-// runShieldedAt runs one packet at its arrival tick, converting a
-// native-flavour panic into a recorded value and classifying what the
-// guard did with the packet (bare instances always admit).
-func runShieldedAt(inst nf.Instance, pkt []byte, tick uint64) (verdict uint64, act guard.Action, err error, panicked any) {
-	defer func() { panicked = recover() }()
-	if g, ok := inst.(*guard.Guarded); ok {
-		verdict, act, err = g.ProcessAt(pkt, tick)
-		return
-	}
-	act = guard.ActionAdmit
-	verdict, err = inst.Process(pkt)
-	return
-}
-
 // Attack replays every case bare and guarded and checks the resilience
 // contract. Cases carry their own seeded traces, so the whole grid is
 // deterministic.
@@ -179,37 +166,36 @@ func Attack(cases []AttackCase) *AttackResult {
 			tr := c.Trace.Clone()
 			admitted := make([]uint32, len(tr.FlowKeys))
 			var total uint64
-			vms := vmsOf(arm.Inst)
+			vms := nf.VMs(arm.Inst)
 
-			for i := range tr.Packets {
-				verdict, act, err, panicked := runShieldedAt(arm.Inst, tr.Packets[i][:], tr.ArrivalOf(i))
+			replay(arm.Inst, tr, 0, func(i int, o outcome) error {
 				row.Packets++
 				res.Packets++
-				if panicked != nil {
-					violate(AttackViolation{Case: c.Name, Scenario: c.Scenario, GuardOn: guardOn,
-						Packet: i, Kind: "panic", Detail: fmt.Sprint(panicked)})
-					continue
+				at := AttackViolation{Case: c.Name, Scenario: c.Scenario, GuardOn: guardOn, Packet: i}
+				if o.err != nil {
+					at.Kind, at.Detail = "error", o.err.Error()
+					if errors.Is(o.err, ErrPanic) {
+						at.Kind = "panic"
+					}
+					violate(at)
+					return nil
 				}
-				if err != nil {
-					violate(AttackViolation{Case: c.Name, Scenario: c.Scenario, GuardOn: guardOn,
-						Packet: i, Kind: "error", Detail: err.Error()})
-					continue
+				if o.verdict == uint64(vm.XDPAborted) {
+					at.Kind, at.Detail = "verdict", "XDP_ABORTED"
+					violate(at)
 				}
-				if verdict == uint64(vm.XDPAborted) {
-					violate(AttackViolation{Case: c.Name, Scenario: c.Scenario, GuardOn: guardOn,
-						Packet: i, Kind: "verdict", Detail: "XDP_ABORTED"})
-				}
-				if act == guard.ActionAdmit {
+				if o.act == guard.ActionAdmit {
 					admitted[tr.FlowOf[i]]++
 					total++
 				}
 				for _, m := range vms {
 					if d := m.LockHeld(); d != 0 {
-						violate(AttackViolation{Case: c.Name, Scenario: c.Scenario, GuardOn: guardOn,
-							Packet: i, Kind: "lock", Detail: fmt.Sprintf("spin-lock depth %d after exit", d)})
+						at.Kind, at.Detail = "lock", fmt.Sprintf("spin-lock depth %d after exit", d)
+						violate(at)
 					}
 				}
-			}
+				return nil
+			})
 
 			if arm.Check != nil {
 				if err := arm.Check(); err != nil {

@@ -25,21 +25,14 @@ type BatchResult struct {
 	VerdictMap map[string]uint64 `json:"verdicts"`
 }
 
-func (r *BatchResult) finish(start time.Time) {
-	r.Ns = time.Since(start).Nanoseconds()
-	r.VerdictMap = map[string]uint64{
-		"aborted": r.Verdicts.Aborted,
-		"drop":    r.Verdicts.Drop,
-		"pass":    r.Verdicts.Pass,
-		"tx":      r.Verdicts.Tx,
-		"other":   r.Verdicts.Other,
-	}
+// PPS is the batch's replay rate in packets per second.
+func (r BatchResult) PPS() float64 {
+	return float64(r.Packets) / time.Duration(r.Ns).Seconds()
 }
 
-// arrivalClocked is the guard-fronted ingress (guard.Guarded): packets
-// carry a virtual arrival tick and the guard reports its action.
-type arrivalClocked interface {
-	ProcessAt(pkt []byte, tick uint64) (uint64, guard.Action, error)
+func (r *BatchResult) finish(start time.Time) {
+	r.Ns = time.Since(start).Nanoseconds()
+	r.VerdictMap = r.Verdicts.Map()
 }
 
 // ReplayBatch replays tr once through inst. Guard-fronted instances
@@ -49,33 +42,20 @@ type arrivalClocked interface {
 // nextTick into the next batch. Unguarded instances ignore the clock.
 func ReplayBatch(inst nf.Instance, tr *pktgen.Trace, tickBase uint64) (BatchResult, uint64, error) {
 	res := BatchResult{Packets: len(tr.Packets)}
-	gp, clocked := inst.(arrivalClocked)
 	start := time.Now()
-	for i := range tr.Packets {
-		var v uint64
-		var err error
-		if clocked {
-			var act guard.Action
-			v, act, err = gp.ProcessAt(tr.Packets[i][:], tickBase+tr.ArrivalOf(i))
-			switch act {
-			case guard.ActionShed:
-				res.Shed++
-			case guard.ActionSample:
-				res.Sampled++
-			}
-		} else {
-			v, err = inst.Process(tr.Packets[i][:])
+	nextTick, err := replay(inst, tr, tickBase, func(i int, o outcome) error {
+		if o.err != nil {
+			return fmt.Errorf("harness: packet %d: %w", i, o.err)
 		}
-		if err != nil {
-			res.finish(start)
-			return res, tickBase, fmt.Errorf("harness: packet %d: %w", i, err)
+		switch o.act {
+		case guard.ActionShed:
+			res.Shed++
+		case guard.ActionSample:
+			res.Sampled++
 		}
-		res.Verdicts.Count(v)
-	}
+		res.Verdicts.Count(o.verdict)
+		return nil
+	})
 	res.finish(start)
-	nextTick := tickBase
-	if n := len(tr.Packets); n > 0 {
-		nextTick = tickBase + tr.ArrivalOf(n-1) + 1
-	}
-	return res, nextTick, nil
+	return res, nextTick, err
 }

@@ -3,7 +3,7 @@
 // contract the runtime promises the datapath:
 //
 //   - no panic escapes Process (VM panics become ErrRuntimeFault; the
-//     harness additionally shields native flavours);
+//     replay engine recovers native-flavour panics into ErrPanic);
 //   - Process returns no error;
 //   - the verdict is never XDP_ABORTED (0) — injected faults must
 //     degrade to drops or misses, not aborts;
@@ -18,6 +18,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
 	"enetstl/internal/ebpf/maps"
@@ -142,34 +143,6 @@ func (r *ChaosResult) Publish(reg *telemetry.Registry) {
 	reg.Counter("chaos_violations_total").Add(r.ViolationsTotal)
 }
 
-// vmsOf collects the machines backing an instance: the instance itself
-// if VM-backed, plus every VM-backed stage of a pipeline.
-func vmsOf(inst nf.Instance) []*vm.VM {
-	type vmBacked interface{ VM() *vm.VM }
-	type staged interface{ Stages() []nf.Instance }
-	var out []*vm.VM
-	add := func(i nf.Instance) {
-		if v, ok := i.(vmBacked); ok && v.VM() != nil {
-			out = append(out, v.VM())
-		}
-	}
-	add(inst)
-	if s, ok := inst.(staged); ok {
-		for _, st := range s.Stages() {
-			add(st)
-		}
-	}
-	return out
-}
-
-// runShielded runs one packet, converting a native-flavour panic into a
-// recorded value (VM flavours already recover into ErrRuntimeFault).
-func runShielded(inst nf.Instance, pkt []byte) (verdict uint64, err error, panicked any) {
-	defer func() { panicked = recover() }()
-	verdict, err = inst.Process(pkt)
-	return
-}
-
 // Chaos replays every case under every schedule and checks the
 // robustness contract after each packet. seed feeds the deterministic
 // fault streams, so a failing run replays bit-for-bit.
@@ -188,7 +161,10 @@ func Chaos(cases []ChaosCase, schedules []ChaosSchedule, seed uint64) *ChaosResu
 		// point swaps in its plane's sites, and nil (after the case) is a
 		// safe disarmed state (Site.Fire is nil-safe).
 		var sUpd, sLkp, sAlloc, sKf *faultinject.Site
-		for _, m := range vmsOf(c.Inst) {
+		vms := nf.VMs(c.Inst)
+		// One arrival clock across the grid (see Throughput).
+		var tick uint64
+		for _, m := range vms {
 			m.WrapMaps(func(mm maps.ArenaMap) maps.ArenaMap {
 				return &maps.Faulty{
 					M:          mm,
@@ -228,30 +204,29 @@ func Chaos(cases []ChaosCase, schedules []ChaosSchedule, seed uint64) *ChaosResu
 				c.Arm(plane)
 			}
 
-			for i := range c.Trace.Packets {
-				verdict, err, panicked := runShielded(c.Inst, c.Trace.Packets[i][:])
+			tick, _ = replay(c.Inst, c.Trace, tick, func(i int, o outcome) error {
 				res.Packets++
-				if panicked != nil {
-					violate(ChaosViolation{Case: c.Name, Schedule: sch.Name, Packet: i,
-						Kind: "panic", Detail: fmt.Sprint(panicked)})
-					continue
+				at := ChaosViolation{Case: c.Name, Schedule: sch.Name, Packet: i}
+				if o.err != nil {
+					at.Kind, at.Detail = "error", o.err.Error()
+					if errors.Is(o.err, ErrPanic) {
+						at.Kind = "panic"
+					}
+					violate(at)
+					return nil
 				}
-				if err != nil {
-					violate(ChaosViolation{Case: c.Name, Schedule: sch.Name, Packet: i,
-						Kind: "error", Detail: err.Error()})
-					continue
+				if o.verdict == uint64(vm.XDPAborted) {
+					at.Kind, at.Detail = "verdict", "XDP_ABORTED"
+					violate(at)
 				}
-				if verdict == uint64(vm.XDPAborted) {
-					violate(ChaosViolation{Case: c.Name, Schedule: sch.Name, Packet: i,
-						Kind: "verdict", Detail: "XDP_ABORTED"})
-				}
-				for _, m := range vmsOf(c.Inst) {
+				for _, m := range vms {
 					if d := m.LockHeld(); d != 0 {
-						violate(ChaosViolation{Case: c.Name, Schedule: sch.Name, Packet: i,
-							Kind: "lock", Detail: fmt.Sprintf("spin-lock depth %d after exit", d)})
+						at.Kind, at.Detail = "lock", fmt.Sprintf("spin-lock depth %d after exit", d)
+						violate(at)
 					}
 				}
-			}
+				return nil
+			})
 			if c.Check != nil {
 				if err := c.Check(); err != nil {
 					violate(ChaosViolation{Case: c.Name, Schedule: sch.Name, Packet: -1,

@@ -47,6 +47,27 @@ func (v *VerdictCounts) Count(verdict uint64) {
 	}
 }
 
+// Add merges another tally into v.
+func (v *VerdictCounts) Add(o VerdictCounts) {
+	v.Aborted += o.Aborted
+	v.Drop += o.Drop
+	v.Pass += o.Pass
+	v.Tx += o.Tx
+	v.Other += o.Other
+}
+
+// Map returns the tally keyed by verdict name, the serializable form
+// batch results carry.
+func (v VerdictCounts) Map() map[string]uint64 {
+	return map[string]uint64{
+		"aborted": v.Aborted,
+		"drop":    v.Drop,
+		"pass":    v.Pass,
+		"tx":      v.Tx,
+		"other":   v.Other,
+	}
+}
+
 // Total returns the number of verdicts counted.
 func (v VerdictCounts) Total() uint64 {
 	return v.Aborted + v.Drop + v.Pass + v.Tx + v.Other
@@ -89,18 +110,14 @@ func Throughput(inst nf.Instance, trace *pktgen.Trace, trials int) (Result, erro
 	if n == 0 {
 		return Result{}, fmt.Errorf("harness: empty trace")
 	}
+	// The passes share one arrival clock so a guard-fronted instance
+	// sees monotone ticks across warm-up and trials.
+	var tick uint64
 	run := func(verdicts *VerdictCounts) (float64, error) {
 		start := time.Now()
-		for i := range trace.Packets {
-			v, err := inst.Process(trace.Packets[i][:])
-			if err != nil {
-				return 0, fmt.Errorf("%s/%s: packet %d: %w", inst.Name(), inst.Flavor(), i, err)
-			}
-			if verdicts != nil {
-				verdicts.Count(v)
-			}
-		}
-		return time.Since(start).Seconds(), nil
+		next, err := replayAll(inst, trace, tick, verdicts)
+		tick = next
+		return time.Since(start).Seconds(), err
 	}
 	if _, err := run(nil); err != nil { // warm-up, not tallied
 		return Result{}, err
@@ -206,14 +223,20 @@ func Latency(inst nf.Instance, trace *pktgen.Trace) (LatencyResult, error) {
 	}
 	hist := telemetry.NewHistogram(nil)
 	durs := make([]float64, 0, len(trace.Packets))
-	for i := range trace.Packets {
-		start := time.Now()
-		if _, err := inst.Process(trace.Packets[i][:]); err != nil {
-			return LatencyResult{}, err
+	// Each packet's time runs from the end of the previous callback to
+	// its own outcome, so only dispatch and the NF fall inside it.
+	prev := time.Now()
+	if _, err := replay(inst, trace, 0, func(i int, o outcome) error {
+		if o.err != nil {
+			return fmt.Errorf("%s/%s: packet %d: %w", inst.Name(), inst.Flavor(), i, o.err)
 		}
-		d := float64(time.Since(start).Nanoseconds()) + WireNs
+		d := float64(time.Since(prev).Nanoseconds()) + WireNs
 		durs = append(durs, d)
 		hist.Observe(d)
+		prev = time.Now()
+		return nil
+	}); err != nil {
+		return LatencyResult{}, err
 	}
 	sort.Float64s(durs)
 	var sum float64

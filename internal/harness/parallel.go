@@ -91,82 +91,85 @@ func ParallelRunTraced(tr *pktgen.Trace, shards int, build ShardBuilder, trials 
 	return parallelRun(tr, shards, build, trials, &tcfg)
 }
 
-func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, tcfg *trace.Config) (*ParallelResult, error) {
+// buildShards hash-partitions tr into `shards` sub-traces and builds
+// each shard's instance, serially (see ShardBuilder).
+func buildShards(tr *pktgen.Trace, shards int, build ShardBuilder) ([]*pktgen.Trace, []nf.Instance, error) {
 	if shards <= 0 {
 		shards = 1
 	}
-	if trials <= 0 {
-		trials = 3
-	}
 	if len(tr.Packets) == 0 {
-		return nil, fmt.Errorf("harness: empty trace")
+		return nil, nil, fmt.Errorf("harness: empty trace")
 	}
 	subs := tr.Shard(shards)
 	insts := make([]nf.Instance, len(subs))
 	for s, sub := range subs {
 		inst, err := build(s, sub)
 		if err != nil {
-			return nil, fmt.Errorf("harness: shard %d: %w", s, err)
+			return nil, nil, fmt.Errorf("harness: shard %d: %w", s, err)
 		}
 		insts[s] = inst
 	}
+	return subs, insts, nil
+}
 
-	// replay runs one full pass of shard s, tallying verdicts when
-	// tally is non-nil (warm-up passes are untallied, like Throughput).
-	replay := func(s int, tally *VerdictCounts) error {
-		sub, inst := subs[s], insts[s]
-		for i := range sub.Packets {
-			v, err := inst.Process(sub.Packets[i][:])
-			if err != nil {
-				return fmt.Errorf("%s/%s: shard %d packet %d: %w",
-					inst.Name(), inst.Flavor(), s, i, err)
-			}
-			if tally != nil {
-				tally.Count(v)
-			}
+// fanOut runs fn for shards 0..n-1 concurrently, one goroutine each —
+// one core per RSS queue — and returns the lowest shard's error.
+func fanOut(n int, fn func(s int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for s := range errs {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			errs[s] = fn(s)
+		}(s)
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		return nil
+	}
+	return nil
+}
+
+func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, tcfg *trace.Config) (*ParallelResult, error) {
+	if trials <= 0 {
+		trials = 3
+	}
+	subs, insts, err := buildShards(tr, shards, build)
+	if err != nil {
+		return nil, err
 	}
 
+	// Each shard's passes share one arrival clock (see Throughput).
+	ticks := make([]uint64, len(subs))
 	run := func(measured bool) ([]ShardResult, float64, error) {
 		res := make([]ShardResult, len(subs))
-		errs := make([]error, len(subs))
-		var wg sync.WaitGroup
 		start := time.Now()
-		for s := range subs {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				res[s].Shard = s
-				res[s].Packets = len(subs[s].Packets)
-				shardStart := time.Now()
-				passes := trials
-				if !measured {
-					passes = 1
-				}
-				for t := 0; t < passes; t++ {
-					var tally *VerdictCounts
-					if measured {
-						tally = &res[s].Verdicts
-					}
-					if err := replay(s, tally); err != nil {
-						errs[s] = err
-						return
-					}
-				}
-				if secs := time.Since(shardStart).Seconds(); secs > 0 {
-					res[s].PPS = float64(passes*len(subs[s].Packets)) / secs
-				}
-			}(s)
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		for _, err := range errs {
-			if err != nil {
-				return nil, 0, err
+		err := fanOut(len(subs), func(s int) error {
+			res[s].Shard = s
+			res[s].Packets = len(subs[s].Packets)
+			shardStart := time.Now()
+			// Warm-up passes are untallied, like Throughput's.
+			passes := 1
+			var tally *VerdictCounts
+			if measured {
+				passes, tally = trials, &res[s].Verdicts
 			}
-		}
-		return res, elapsed, nil
+			for t := 0; t < passes; t++ {
+				next, err := replayAll(insts[s], subs[s], ticks[s], tally)
+				ticks[s] = next
+				if err != nil {
+					return err
+				}
+			}
+			if secs := time.Since(shardStart).Seconds(); secs > 0 {
+				res[s].PPS = float64(passes*len(subs[s].Packets)) / secs
+			}
+			return nil
+		})
+		return res, time.Since(start).Seconds(), err
 	}
 
 	if _, _, err := run(false); err != nil { // warm-up
@@ -179,7 +182,7 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 		recs = make([]*trace.Recorder, len(insts))
 		for s, inst := range insts {
 			recs[s] = trace.NewRecorder(tcfg.ForShard(s))
-			for _, m := range vmsOf(inst) {
+			for _, m := range nf.VMs(inst) {
 				m.SetRecorder(recs[s])
 			}
 		}
@@ -193,18 +196,14 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 	out := &ParallelResult{
 		Name:     insts[0].Name(),
 		Flavor:   insts[0].Flavor().String(),
-		Shards:   shards,
+		Shards:   len(subs),
 		Trials:   trials,
 		PPS:      float64(total) / elapsed,
 		NsPerOp:  elapsed * 1e9 / float64(total),
 		PerShard: perShard,
 	}
 	for _, sr := range perShard {
-		out.Verdicts.Aborted += sr.Verdicts.Aborted
-		out.Verdicts.Drop += sr.Verdicts.Drop
-		out.Verdicts.Pass += sr.Verdicts.Pass
-		out.Verdicts.Tx += sr.Verdicts.Tx
-		out.Verdicts.Other += sr.Verdicts.Other
+		out.Verdicts.Add(sr.Verdicts)
 	}
 	for _, inst := range insts {
 		v, ok := inst.(interface{ VM() *vm.VM })
@@ -219,7 +218,7 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 	if recs != nil {
 		chunks := make([][]trace.Event, len(recs))
 		for s, rec := range recs {
-			for _, m := range vmsOf(insts[s]) {
+			for _, m := range nf.VMs(insts[s]) {
 				m.SetRecorder(nil)
 			}
 			chunks[s] = rec.Drain(0)

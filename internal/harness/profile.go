@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
@@ -62,10 +61,8 @@ func Profile(inst nf.Instance, trace *pktgen.Trace) (*ProfileReport, error) {
 	v.Machine.SetStats(st)
 	defer v.Machine.SetStats(prev)
 
-	for i := range trace.Packets {
-		if _, err := inst.Process(trace.Packets[i][:]); err != nil {
-			return nil, fmt.Errorf("%s/%s: packet %d: %w", inst.Name(), inst.Flavor(), i, err)
-		}
+	if _, err := replayAll(inst, trace, 0, nil); err != nil {
+		return nil, err
 	}
 	ps, ok := st.ProgSnapshot(v.Prog.Name())
 	if !ok {
@@ -129,71 +126,47 @@ func ReportFromProgStats(name, flavor string, packets int, ps vm.ProgStats) *Pro
 // counts are invariant under the shard count — only the time split
 // moves with scheduling.
 func ProfileParallel(tr *pktgen.Trace, shards int, build ShardBuilder) (*ProfileReport, error) {
-	if shards <= 0 {
-		shards = 1
+	subs, insts, err := buildShards(tr, shards, build)
+	if err != nil {
+		return nil, err
 	}
-	if len(tr.Packets) == 0 {
-		return nil, fmt.Errorf("harness: empty trace")
-	}
-	subs := tr.Shard(shards)
-	insts := make([]*nf.VMInstance, len(subs))
-	prevs := make([]*vm.Stats, len(subs))
-	stats := make([]*vm.Stats, len(subs))
-	for s, sub := range subs {
-		inst, err := build(s, sub)
-		if err != nil {
-			return nil, fmt.Errorf("harness: shard %d: %w", s, err)
-		}
-		v, ok := inst.(*nf.VMInstance)
-		if !ok {
-			return nil, fmt.Errorf("harness: ProfileParallel needs VM-backed instances, got %s/%s",
-				inst.Name(), inst.Flavor())
-		}
-		insts[s] = v
-		prevs[s] = v.Machine.Stats()
-		stats[s] = vm.NewStats()
-		v.Machine.SetStats(stats[s])
-	}
+	vms := make([]*nf.VMInstance, len(insts))
+	prevs := make([]*vm.Stats, len(insts))
+	stats := make([]*vm.Stats, len(insts))
 	defer func() {
-		for s, v := range insts {
+		for s, v := range vms {
 			if v != nil {
 				v.Machine.SetStats(prevs[s])
 			}
 		}
 	}()
-
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	for s := range subs {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sub, inst := subs[s], insts[s]
-			for i := range sub.Packets {
-				if _, err := inst.Process(sub.Packets[i][:]); err != nil {
-					errs[s] = fmt.Errorf("%s/%s: shard %d packet %d: %w",
-						inst.Name(), inst.Flavor(), s, i, err)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for s, inst := range insts {
+		v, ok := inst.(*nf.VMInstance)
+		if !ok {
+			return nil, fmt.Errorf("harness: ProfileParallel needs VM-backed instances, got %s/%s",
+				inst.Name(), inst.Flavor())
 		}
+		vms[s] = v
+		prevs[s] = v.Machine.Stats()
+		stats[s] = vm.NewStats()
+		v.Machine.SetStats(stats[s])
+	}
+	if err := fanOut(len(subs), func(s int) error {
+		_, err := replayAll(insts[s], subs[s], 0, nil)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 
 	merged := vm.NewStats()
 	for _, st := range stats {
 		merged.Merge(st)
 	}
-	ps, ok := merged.ProgSnapshot(insts[0].Prog.Name())
+	ps, ok := merged.ProgSnapshot(vms[0].Prog.Name())
 	if !ok {
-		return nil, fmt.Errorf("harness: no stats recorded for %q", insts[0].Prog.Name())
+		return nil, fmt.Errorf("harness: no stats recorded for %q", vms[0].Prog.Name())
 	}
-	return ReportFromProgStats(insts[0].Name(), insts[0].Flavor().String(), len(tr.Packets), ps), nil
+	return ReportFromProgStats(vms[0].Name(), vms[0].Flavor().String(), len(tr.Packets), ps), nil
 }
 
 func max64(a, b uint64) uint64 {

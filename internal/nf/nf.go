@@ -130,3 +130,24 @@ func (n *NativeInstance) Flavor() Flavor { return Kernel }
 func (n *NativeInstance) Process(pkt []byte) (uint64, error) {
 	return n.Fn(pkt), nil
 }
+
+// VMs collects the machines backing an instance: its own and, for
+// pipelines, every stage's. Wrappers (guards, meters, instrumentation)
+// delegate VM()/Stages(), so every attacher — stats, flight recorders,
+// guards, the chaos plane, the daemon — walks instances the same way.
+func VMs(inst Instance) []*vm.VM {
+	type vmBacked interface{ VM() *vm.VM }
+	var out []*vm.VM
+	add := func(i Instance) {
+		if v, ok := i.(vmBacked); ok && v.VM() != nil {
+			out = append(out, v.VM())
+		}
+	}
+	add(inst)
+	if s, ok := inst.(interface{ Stages() []Instance }); ok {
+		for _, st := range s.Stages() {
+			add(st)
+		}
+	}
+	return out
+}

@@ -72,16 +72,6 @@ func Build(name string, flavor nf.Flavor, trace *pktgen.Trace) (nf.Instance, err
 	return b.Inst, nil
 }
 
-// queueize turns the trace into an enqueue/dequeue mix with spread
-// priorities and deadlines, for the scheduler NFs.
-func queueize(trace *pktgen.Trace) {
-	trace.ApplyOpMix([]uint32{nf.OpEnqueue, nf.OpDequeue}, []int{1, 1})
-	trace.ApplyArgKeys(0)
-	for i := range trace.Packets {
-		trace.Packets[i].SetTS(uint64(i / 2))
-	}
-}
-
 // PrepareTrace applies name's op mix and argument keying to the trace,
 // exactly as Build does. It is exposed separately so sharded replay
 // can mix the full trace once before hash-partitioning it: packet
@@ -92,7 +82,7 @@ func PrepareTrace(name string, trace *pktgen.Trace) {
 	case "skiplist":
 		trace.ApplyOpMix([]uint32{nf.OpUpdate, nf.OpLookup, nf.OpDelete}, []int{1, 2, 1})
 	case "eiffel", "timewheel":
-		queueize(trace)
+		trace.Queueize()
 	case "bloom":
 		trace.ApplyOpMix([]uint32{nf.OpUpdate, nf.OpLookup}, []int{1, 3})
 	}

@@ -246,7 +246,7 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	for i, b := range m.built {
 		inst := b.Inst
 		if m.stats != nil {
-			vms := runtime.VMs(inst)
+			vms := nf.VMs(inst)
 			for _, machine := range vms {
 				machine.SetStats(m.stats)
 			}
@@ -295,36 +295,23 @@ func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 	}
 
 	var total harness.BatchResult
-	replayOne := func(shard int, sub *pktgen.Trace) error {
-		res, next, err := harness.ReplayBatch(m.insts[shard], sub, m.tickBase[shard])
-		m.tickBase[shard] = next
+	subs := []*pktgen.Trace{tr}
+	if len(m.insts) > 1 {
+		subs = tr.Shard(len(m.insts))
+	}
+	for i, sub := range subs {
+		res, next, e := harness.ReplayBatch(m.insts[i], sub, m.tickBase[i])
+		m.tickBase[i] = next
 		total.Packets += res.Packets
 		total.Shed += res.Shed
 		total.Sampled += res.Sampled
 		total.Ns += res.Ns
-		total.Verdicts.Aborted += res.Verdicts.Aborted
-		total.Verdicts.Drop += res.Verdicts.Drop
-		total.Verdicts.Pass += res.Verdicts.Pass
-		total.Verdicts.Tx += res.Verdicts.Tx
-		total.Verdicts.Other += res.Verdicts.Other
-		return err
-	}
-	if len(m.insts) == 1 {
-		err = replayOne(0, tr)
-	} else {
-		for i, sub := range tr.Shard(len(m.insts)) {
-			if e := replayOne(i, sub); e != nil && err == nil {
-				err = e
-			}
+		total.Verdicts.Add(res.Verdicts)
+		if e != nil && err == nil {
+			err = e
 		}
 	}
-	total.VerdictMap = map[string]uint64{
-		"aborted": total.Verdicts.Aborted,
-		"drop":    total.Verdicts.Drop,
-		"pass":    total.Verdicts.Pass,
-		"tx":      total.Verdicts.Tx,
-		"other":   total.Verdicts.Other,
-	}
+	total.VerdictMap = total.Verdicts.Map()
 	m.state = StateRunning
 	m.batches++
 	m.packets += uint64(total.Packets)
@@ -375,10 +362,14 @@ func (m *Module) DrainTrace(max int) []trace.Event {
 func (m *Module) Publish(reg *telemetry.Registry) {
 	m.mu.Lock()
 	guards := m.guards
-	stats := m.stats
 	rec := m.rec
 	state := m.state
 	batches, packets := m.batches, m.packets
+	// Ingest mutates the stats under mu and vm.Stats is not safe for
+	// concurrent use, so they are read under mu too.
+	if m.stats != nil {
+		m.stats.Publish(reg)
+	}
 	m.mu.Unlock()
 	lbl := []telemetry.Label{
 		telemetry.L("module", m.ID), telemetry.L("nf", m.Name),
@@ -392,9 +383,6 @@ func (m *Module) Publish(reg *telemetry.Registry) {
 	reg.Counter("nfd_module_packets_total", lbl...).Add(packets)
 	for _, g := range guards {
 		g.Publish(reg)
-	}
-	if stats != nil {
-		stats.Publish(reg)
 	}
 	if rec != nil {
 		rec.Publish(reg)

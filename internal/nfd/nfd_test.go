@@ -2,6 +2,7 @@ package nfd_test
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/nfd"
+	"enetstl/internal/pktgen"
 	"enetstl/internal/runtime"
 )
 
@@ -324,5 +326,49 @@ func TestShardedModule(t *testing.T) {
 	}
 	if code, _ := do(t, "DELETE", ts.URL+"/modules/"+st.ID, "", nil); code != http.StatusOK {
 		t.Fatalf("delete failed")
+	}
+}
+
+// TestRawShardedIngest replays one raw (base64) batch through a
+// 2-shard module and an unsharded one built from the same seed trace.
+// Raw traces carry no flow table, so sharding must partition them by
+// packet key alone; the merged tally must equal the unsharded one.
+func TestRawShardedIngest(t *testing.T) {
+	_, ts := newTestServer(t)
+	tr := pktgen.Generate(pktgen.Config{Flows: 64, Packets: 400, ZipfS: 1.1, Seed: 5})
+	raw := make([]string, len(tr.Packets))
+	for i := range tr.Packets {
+		raw[i] = base64.StdEncoding.EncodeToString(tr.Packets[i][:])
+	}
+	body, err := json.Marshal(runtime.TraceSpec{Raw: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := func(shards int) map[string]uint64 {
+		var st nfd.Status
+		if code, data := do(t, "POST", ts.URL+"/modules", fmt.Sprintf(
+			`{"name": "cuckooswitch", "flavor": "ebpf", "options": {"shards": %d},
+			  "trace": {"flows": 64, "packets": 400, "seed": 5}}`, shards), &st); code != http.StatusCreated {
+			t.Fatalf("create %d shards: status %d: %s", shards, code, data)
+		}
+		var res harness.BatchResult
+		if code, data := do(t, "POST", ts.URL+"/modules/"+st.ID+"/packets", string(body), &res); code != http.StatusOK {
+			t.Fatalf("%d shards: raw ingest status %d: %s", shards, code, data)
+		}
+		if res.Packets != len(raw) {
+			t.Fatalf("%d shards: replayed %d packets, want %d", shards, res.Packets, len(raw))
+		}
+		return res.VerdictMap
+	}
+	one, two := tally(1), tally(2)
+	var total uint64
+	for k, v := range one {
+		total += v
+		if two[k] != v {
+			t.Fatalf("2-shard tally %v differs from unsharded %v", two, one)
+		}
+	}
+	if total != uint64(len(raw)) {
+		t.Fatalf("tally %v covers %d of %d packets", one, total, len(raw))
 	}
 }

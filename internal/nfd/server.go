@@ -195,11 +195,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	m.mu.Lock()
-	st := m.stats
-	m.mu.Unlock()
 	out := []statsSnapshot{}
-	if st != nil {
+	// Read under mu: Ingest mutates the stats under it (see Publish).
+	m.mu.Lock()
+	if st := m.stats; st != nil {
 		for _, name := range st.ProgNames() {
 			ps, ok := st.ProgSnapshot(name)
 			if !ok {
@@ -210,6 +209,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
+	m.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"module": m.ID, "programs": out})
 }
 

@@ -185,7 +185,9 @@ func (t *Trace) Shard(n int) []*Trace {
 	for i := range t.Packets {
 		s := shards[ShardOf(t.Packets[i].Key(), n)]
 		s.Packets = append(s.Packets, t.Packets[i])
-		s.FlowOf = append(s.FlowOf, t.FlowOf[i])
+		if t.FlowOf != nil {
+			s.FlowOf = append(s.FlowOf, t.FlowOf[i])
+		}
 		if t.Labels != nil {
 			s.Labels = append(s.Labels, t.Labels[i])
 		}
@@ -253,6 +255,18 @@ func (t *Trace) ApplyOpMix(ops []uint32, weights []int) {
 	}
 	for i := range t.Packets {
 		t.Packets[i].SetOp(pattern[i%len(pattern)])
+	}
+}
+
+// Queueize turns the trace into the scheduler NFs' enqueue/dequeue
+// mix: ops alternate 1:1, every argument (priority) is the packet's
+// flow hash, and packet i's timestamp (deadline) is i/2, so each
+// enqueue/dequeue pair shares one tick.
+func (t *Trace) Queueize() {
+	t.ApplyOpMix([]uint32{nf.OpEnqueue, nf.OpDequeue}, []int{1, 1})
+	t.ApplyArgKeys(0)
+	for i := range t.Packets {
+		t.Packets[i].SetTS(uint64(i / 2))
 	}
 }
 

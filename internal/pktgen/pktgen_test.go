@@ -186,6 +186,30 @@ func TestShardPartitionsByFlow(t *testing.T) {
 	}
 }
 
+// TestShardRawTrace shards a trace that carries only packets, the
+// shape a raw (base64) ingest body decodes to: no flow table, no
+// FlowOf. Sharding must partition it like any other trace.
+func TestShardRawTrace(t *testing.T) {
+	gen := Generate(Config{Flows: 64, Packets: 500, Seed: 11})
+	raw := &Trace{Packets: gen.Packets}
+	shards := raw.Shard(3)
+	total := 0
+	for s, sub := range shards {
+		total += len(sub.Packets)
+		if sub.FlowOf != nil {
+			t.Fatalf("shard %d: FlowOf invented for a raw trace", s)
+		}
+		for i := range sub.Packets {
+			if got := ShardOf(sub.Packets[i].Key(), 3); got != s {
+				t.Fatalf("shard %d: packet %d hashes to shard %d", s, i, got)
+			}
+		}
+	}
+	if total != len(raw.Packets) {
+		t.Fatalf("Shard(3) kept %d of %d packets", total, len(raw.Packets))
+	}
+}
+
 func TestShardPreservesOrderWithinFlow(t *testing.T) {
 	tr := Generate(Config{Flows: 16, Packets: 800, Seed: 8})
 	// Tag each packet with its global index so order is observable.
@@ -218,6 +242,30 @@ func TestApplyArgKeysIsFlowDerived(t *testing.T) {
 	for i := range tr.Packets {
 		if got := binary.LittleEndian.Uint32(tr.Packets[i][nf.OffArg:]); got >= 64 {
 			t.Fatalf("packet %d arg %d outside bound 64", i, got)
+		}
+	}
+}
+
+// TestQueueize pins the scheduler NFs' queue mix byte for byte: ops
+// alternate enqueue/dequeue, the argument is the flow hash, and packet
+// i's timestamp is i/2.
+func TestQueueize(t *testing.T) {
+	tr := Generate(Config{Flows: 32, Packets: 301, Seed: 12})
+	tr.Queueize()
+	for i := range tr.Packets {
+		p := tr.Packets[i]
+		wantOp := uint32(nf.OpEnqueue)
+		if i%2 == 1 {
+			wantOp = nf.OpDequeue
+		}
+		if got := binary.LittleEndian.Uint32(p[nf.OffOp:]); got != wantOp {
+			t.Fatalf("packet %d op %d, want %d", i, got, wantOp)
+		}
+		if got, want := binary.LittleEndian.Uint32(p[nf.OffArg:]), FlowHash(p.Key()); got != want {
+			t.Fatalf("packet %d arg %#x, want flow hash %#x", i, got, want)
+		}
+		if got := binary.LittleEndian.Uint64(p[nf.OffTS:]); got != uint64(i/2) {
+			t.Fatalf("packet %d ts %d, want %d", i, got, i/2)
 		}
 	}
 }

@@ -8,28 +8,8 @@ import (
 	"enetstl/internal/trace"
 )
 
-// VMs collects the machines backing an instance: the instance's own
-// and, for pipelines, every stage's — the duck typing the chaos and
-// guard planes already use, exported once so every attacher (stats,
-// recorders, guards, the daemon) walks instances the same way.
-func VMs(inst nf.Instance) []*vm.VM {
-	var out []*vm.VM
-	if v, ok := inst.(interface{ VM() *vm.VM }); ok {
-		if m := v.VM(); m != nil {
-			out = append(out, m)
-		}
-	}
-	if s, ok := inst.(interface{ Stages() []nf.Instance }); ok {
-		for _, st := range s.Stages() {
-			if v, ok := st.(interface{ VM() *vm.VM }); ok {
-				if m := v.VM(); m != nil {
-					out = append(out, m)
-				}
-			}
-		}
-	}
-	return out
-}
+// VMs collects the machines backing an instance; see nf.VMs.
+func VMs(inst nf.Instance) []*vm.VM { return nf.VMs(inst) }
 
 // AttachStats attaches one shared Stats to every VM backing inst and
 // returns it — per-instance metering with no global registry, so a
@@ -39,7 +19,7 @@ func VMs(inst nf.Instance) []*vm.VM {
 // Metered.
 func AttachStats(inst nf.Instance) *vm.Stats {
 	st := vm.NewStats()
-	for _, m := range VMs(inst) {
+	for _, m := range nf.VMs(inst) {
 		m.SetStats(st)
 	}
 	return st
@@ -48,7 +28,7 @@ func AttachStats(inst nf.Instance) *vm.Stats {
 // AttachRecorder attaches (or with nil detaches) a flight recorder on
 // every VM backing inst.
 func AttachRecorder(inst nf.Instance, r *trace.Recorder) {
-	for _, m := range VMs(inst) {
+	for _, m := range nf.VMs(inst) {
 		m.SetRecorder(r)
 	}
 }
