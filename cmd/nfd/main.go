@@ -11,8 +11,9 @@
 //
 // -smoke runs a self-contained lifecycle check over a loopback
 // listener (create → ingest → estimate → metrics → delete → raw ingest
-// into a 2-shard module → shutdown)
-// and exits non-zero on any failure — the `make nfd-smoke` gate.
+// into a 2-shard stats-on module, whose merged per-shard stats must
+// count every packet → shutdown) and exits non-zero on any failure —
+// the `make nfd-smoke` gate.
 package main
 
 import (
@@ -172,7 +173,9 @@ func runSmoke(srv *nfd.Server) int {
 
 	// A raw (base64) batch into a 2-shard module: raw bodies carry no
 	// flow table, so the sharder partitions them by packet key alone,
-	// and the merged tally must still cover every packet.
+	// and the merged tally must still cover every packet. The shards
+	// replay concurrently into per-shard stats, merged on read: the
+	// module's run count must equal the packets posted.
 	tr := pktgen.Generate(pktgen.Config{Flows: 64, Packets: 256, Seed: 7})
 	spec := runtime.TraceSpec{Raw: make([]string, len(tr.Packets))}
 	for i := range tr.Packets {
@@ -183,7 +186,7 @@ func runSmoke(srv *nfd.Server) int {
 		return fail("raw sharded ingest", err)
 	}
 	if err := call(base, "POST", "/modules", `{"name": "cuckooswitch", "flavor": "ebpf",
-		"options": {"shards": 2}, "trace": {"flows": 64, "packets": 256, "seed": 7}}`,
+		"options": {"shards": 2, "stats": true}, "trace": {"flows": 64, "packets": 256, "seed": 7}}`,
 		http.StatusCreated, &created); err != nil {
 		return fail("create sharded", err)
 	}
@@ -198,6 +201,16 @@ func runSmoke(srv *nfd.Server) int {
 	if tallied != uint64(len(spec.Raw)) {
 		return fail("raw sharded ingest", fmt.Errorf("tallied %d of %d packets", tallied, len(spec.Raw)))
 	}
+	if err := call(base, "GET", "/modules/"+created.ID+"/stats", "", http.StatusOK, &stats); err != nil {
+		return fail("sharded stats", err)
+	}
+	var runs uint64
+	for _, p := range stats.Programs {
+		runs += p.RunCnt
+	}
+	if runs != uint64(len(spec.Raw)) {
+		return fail("sharded stats", fmt.Errorf("merged run count %d, want %d", runs, len(spec.Raw)))
+	}
 	if err := call(base, "DELETE", "/modules/"+created.ID, "", http.StatusOK, nil); err != nil {
 		return fail("delete sharded", err)
 	}
@@ -207,7 +220,7 @@ func runSmoke(srv *nfd.Server) int {
 	if err := srv.Shutdown(ctx); err != nil {
 		return fail("shutdown", err)
 	}
-	fmt.Println("nfd-smoke: ok (create → ingest → estimate → stats → metrics → delete → raw sharded ingest → shutdown)")
+	fmt.Println("nfd-smoke: ok (create → ingest → estimate → stats → metrics → delete → raw sharded ingest → merged stats → shutdown)")
 	return 0
 }
 

@@ -2,6 +2,7 @@ package cliopts
 
 import (
 	"flag"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -58,6 +59,25 @@ func TestBadOptionsRejected(t *testing.T) {
 	r, _ = parse(t, "-map-impl", "cuckoo")
 	if _, err := r.Options(); err == nil {
 		t.Fatal("bad -map-impl accepted")
+	}
+}
+
+// TestShardsBounded pins runtime.MaxShards on the flag path: an
+// explicit -shards or a JSON body past the bound fails to resolve, and
+// the bound itself resolves.
+func TestShardsBounded(t *testing.T) {
+	over := fmt.Sprint(runtime.MaxShards + 1)
+	r, _ := parse(t, "-shards", over)
+	if _, err := r.Options(); err == nil {
+		t.Fatalf("-shards %s accepted", over)
+	}
+	r, _ = parse(t, "-options", `{"shards": `+over+`}`)
+	if _, err := r.Options(); err == nil {
+		t.Fatalf("-options shards %s accepted", over)
+	}
+	r, _ = parse(t, "-shards", fmt.Sprint(runtime.MaxShards))
+	if o, err := r.Options(); err != nil || o.Shards != runtime.MaxShards {
+		t.Fatalf("-shards %d: %+v, %v", runtime.MaxShards, o, err)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Batch replay: the daemon's packet-ingestion primitive. Unlike
 // Throughput (which replays a trace repeatedly to measure), ReplayBatch
 // pushes one batch through a long-lived instance exactly once,
-// preserving the guard's arrival clock across batches.
+// preserving the guard's arrival clock across batches; ReplayShards
+// does the same for a sharded module, one goroutine per shard.
 
 package harness
 
@@ -58,4 +59,35 @@ func ReplayBatch(inst nf.Instance, tr *pktgen.Trace, tickBase uint64) (BatchResu
 	})
 	res.finish(start)
 	return res, nextTick, err
+}
+
+// ReplayShards replays one batch already hash-partitioned across a
+// sharded module: subs[s] goes through insts[s] from tick base ticks[s],
+// each shard on its own goroutine — one core per RSS queue, as
+// ParallelRun models — and ticks[s] advances to that shard's next tick.
+// A lone shard replays inline. The result merges the shard tallies and
+// its Ns is the batch's wall time; the error is the lowest failing
+// shard's.
+func ReplayShards(insts []nf.Instance, subs []*pktgen.Trace, ticks []uint64) (BatchResult, error) {
+	if len(subs) == 1 {
+		res, next, err := ReplayBatch(insts[0], subs[0], ticks[0])
+		ticks[0] = next
+		return res, err
+	}
+	results := make([]BatchResult, len(subs))
+	start := time.Now()
+	err := fanOut(len(subs), func(s int) error {
+		var err error
+		results[s], ticks[s], err = ReplayBatch(insts[s], subs[s], ticks[s])
+		return err
+	})
+	var total BatchResult
+	for _, r := range results {
+		total.Packets += r.Packets
+		total.Shed += r.Shed
+		total.Sampled += r.Sampled
+		total.Verdicts.Add(r.Verdicts)
+	}
+	total.finish(start)
+	return total, err
 }

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"enetstl/internal/guard"
@@ -117,5 +119,63 @@ func TestArrivalClockedOverride(t *testing.T) {
 		Build: func(bool) (AttackArm, error) { return AttackArm{Inst: spy}, nil }}})
 	if len(spy.ticks) != 2*n {
 		t.Fatalf("Attack: override called %d times, want %d", len(spy.ticks), 2*n)
+	}
+}
+
+// TestReplayShards: a sharded batch equals one serial ReplayBatch per
+// shard — the same ticks at every packet, the same advanced tick bases,
+// the summed tallies — and a failing shard neither stops the others nor
+// hides behind a higher one.
+func TestReplayShards(t *testing.T) {
+	tr := pktgen.GenerateAttack(pktgen.AttackConfig{
+		Base: pktgen.Config{Flows: 32, Packets: 300, Seed: 4},
+		Kind: pktgen.ScenarioSYNFlood,
+	})
+	for _, n := range []int{1, 3} {
+		subs := tr.Shard(n)
+		insts := make([]nf.Instance, n)
+		spies, serial := make([]*spyGuard, n), make([]*spyGuard, n)
+		ticks, serialTicks := make([]uint64, n), make([]uint64, n)
+		var want BatchResult
+		for s := range subs {
+			spies[s], serial[s] = newSpy(), newSpy()
+			insts[s] = spies[s]
+			ticks[s] = uint64(1000 * (s + 1))
+			res, next, err := ReplayBatch(serial[s], subs[s], ticks[s])
+			if err != nil {
+				t.Fatal(err)
+			}
+			serialTicks[s] = next
+			want.Packets += res.Packets
+			want.Shed += res.Shed
+			want.Sampled += res.Sampled
+			want.Verdicts.Add(res.Verdicts)
+		}
+		res, err := ReplayShards(insts, subs, ticks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Packets != want.Packets || res.Shed != want.Shed || res.Sampled != want.Sampled ||
+			res.Verdicts != want.Verdicts || !reflect.DeepEqual(res.VerdictMap, want.Verdicts.Map()) {
+			t.Fatalf("%d shards: merged %+v, serial %+v", n, res, want)
+		}
+		if !reflect.DeepEqual(ticks, serialTicks) {
+			t.Fatalf("%d shards: next ticks %v, serial %v", n, ticks, serialTicks)
+		}
+		for s := range subs {
+			if !reflect.DeepEqual(spies[s].ticks, serial[s].ticks) {
+				t.Fatalf("%d shards: shard %d driven at other ticks than serially", n, s)
+			}
+		}
+	}
+
+	subs := tr.Shard(3)
+	insts := []nf.Instance{&panicNF{}, &panicNF{at: 5}, &panicNF{at: 2}}
+	res, err := ReplayShards(insts, subs, make([]uint64, 3))
+	if !errors.Is(err, ErrPanic) || !strings.HasPrefix(err.Error(), "shard 1: ") {
+		t.Fatalf("err %v, want shard 1's ErrPanic", err)
+	}
+	if want := uint64(len(subs[0].Packets) + 4 + 1); res.Verdicts.Pass != want {
+		t.Fatalf("tallied %d passes, want %d: every packet before each shard's failure", res.Verdicts.Pass, want)
 	}
 }

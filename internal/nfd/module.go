@@ -77,7 +77,8 @@ type CreateRequest struct {
 
 // Module is one live NF instance set (one instance per shard) plus its
 // instrumentation. Batches and lifecycle transitions serialize on mu,
-// so a delete draining the module waits for the in-flight batch.
+// so a delete draining the module waits for the in-flight batch; within
+// a batch the shards replay concurrently, each into its own stats.
 type Module struct {
 	ID     string          `json:"id"`
 	Name   string          `json:"name"`
@@ -90,7 +91,7 @@ type Module struct {
 	guards   []*guard.Guard
 	built    []nfcatalog.Built
 	sharded  *nfcatalog.Sharded
-	stats    *vm.Stats
+	stats    []*vm.Stats // per shard; nil when stats are off
 	rec      *trace.Recorder
 	flows    [][nf.KeyLen]byte
 	tickBase []uint64
@@ -232,12 +233,11 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	}
 	m.state = StateCreated
 
-	// Attachment: per-instance stats (never the global VM registry — a
-	// daemon must retain nothing after module delete), flight recorder,
-	// guards carrying the catalog's per-NF policy wiring.
-	if o.Stats {
-		m.stats = vm.NewStats()
-	}
+	// Attachment: one vm.Stats per shard (the per-CPU idiom, so shards
+	// replay concurrently; never the global VM registry — a daemon must
+	// retain nothing after module delete), one flight recorder shared
+	// through its MPSC ring, guards carrying the catalog's per-NF policy
+	// wiring.
 	if t := o.Trace; t != nil {
 		m.rec = trace.NewRecorder(t.Config())
 	}
@@ -245,13 +245,15 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	m.insts = make([]nf.Instance, shards)
 	for i, b := range m.built {
 		inst := b.Inst
-		if m.stats != nil {
+		if o.Stats {
+			st := vm.NewStats()
+			m.stats = append(m.stats, st)
 			vms := nf.VMs(inst)
 			for _, machine := range vms {
-				machine.SetStats(m.stats)
+				machine.SetStats(st)
 			}
 			if len(vms) == 0 {
-				inst = runtime.Meter(inst, m.stats)
+				inst = runtime.Meter(inst, st)
 			}
 		}
 		if m.rec != nil {
@@ -277,8 +279,9 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 
 // Ingest replays one batch spec through the module. The batch trace
 // gets the NF's op mix (exactly as the CLIs prepare traces) unless it
-// is a raw replay, then is hash-partitioned across the module's shards.
-// Guard ticks continue from the previous batch per shard.
+// is a raw replay, then is hash-partitioned across the module's shards,
+// which replay concurrently. Guard ticks continue from the previous
+// batch per shard.
 func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 	tr, err := spec.Build()
 	if err != nil {
@@ -294,24 +297,11 @@ func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 		return harness.BatchResult{}, fmt.Errorf("module is %s", m.state)
 	}
 
-	var total harness.BatchResult
 	subs := []*pktgen.Trace{tr}
 	if len(m.insts) > 1 {
 		subs = tr.Shard(len(m.insts))
 	}
-	for i, sub := range subs {
-		res, next, e := harness.ReplayBatch(m.insts[i], sub, m.tickBase[i])
-		m.tickBase[i] = next
-		total.Packets += res.Packets
-		total.Shed += res.Shed
-		total.Sampled += res.Sampled
-		total.Ns += res.Ns
-		total.Verdicts.Add(res.Verdicts)
-		if e != nil && err == nil {
-			err = e
-		}
-	}
-	total.VerdictMap = total.Verdicts.Map()
+	total, err := harness.ReplayShards(m.insts, subs, m.tickBase)
 	m.state = StateRunning
 	m.batches++
 	m.packets += uint64(total.Packets)
@@ -361,14 +351,16 @@ func (m *Module) DrainTrace(max int) []trace.Event {
 // gatherer behind the daemon's /metrics.
 func (m *Module) Publish(reg *telemetry.Registry) {
 	m.mu.Lock()
-	guards := m.guards
 	rec := m.rec
 	state := m.state
 	batches, packets := m.batches, m.packets
-	// Ingest mutates the stats under mu and vm.Stats is not safe for
-	// concurrent use, so they are read under mu too.
-	if m.stats != nil {
-		m.stats.Publish(reg)
+	// Ingest's shards write their stats and guards while mu is held, and
+	// neither is safe for concurrent reads, so both publish under mu.
+	if st := m.mergedStats(); st != nil {
+		st.Publish(reg)
+	}
+	for _, g := range m.guards {
+		g.Publish(reg)
 	}
 	m.mu.Unlock()
 	lbl := []telemetry.Label{
@@ -381,12 +373,26 @@ func (m *Module) Publish(reg *telemetry.Registry) {
 	reg.Counter("nfd_module_batches_total", lbl...).Add(batches)
 	reg.SetHelp("nfd_module_packets_total", "packets pushed through the module")
 	reg.Counter("nfd_module_packets_total", lbl...).Add(packets)
-	for _, g := range guards {
-		g.Publish(reg)
-	}
 	if rec != nil {
 		rec.Publish(reg)
 	}
+}
+
+// mergedStats merges the per-shard stats on read, the way a kernel
+// control plane sums per-CPU map values; nil when stats are off. The
+// caller holds mu.
+func (m *Module) mergedStats() *vm.Stats {
+	switch len(m.stats) {
+	case 0:
+		return nil
+	case 1:
+		return m.stats[0]
+	}
+	merged := vm.NewStats()
+	for _, st := range m.stats {
+		merged.Merge(st)
+	}
+	return merged
 }
 
 // delete transitions the module out of service: it waits (on mu) for

@@ -119,6 +119,7 @@ func TestCreateRejections(t *testing.T) {
 		{"bad flavor", `{"name": "bloom", "flavor": "turbo"}`},
 		{"bad options", `{"name": "bloom", "flavor": "kernel", "options": {"tier": "turbo"}}`},
 		{"unknown field", `{"name": "bloom", "flavor": "kernel", "nope": 1}`},
+		{"too many shards", fmt.Sprintf(`{"name": "bloom", "flavor": "kernel", "options": {"shards": %d}}`, runtime.MaxShards+1)},
 	}
 	for _, c := range cases {
 		if code, _ := do(t, "POST", ts.URL+"/modules", c.body, nil); code != http.StatusBadRequest {

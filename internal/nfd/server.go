@@ -196,9 +196,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := []statsSnapshot{}
-	// Read under mu: Ingest mutates the stats under it (see Publish).
 	m.mu.Lock()
-	if st := m.stats; st != nil {
+	if st := m.mergedStats(); st != nil {
 		for _, name := range st.ProgNames() {
 			ps, ok := st.ProgSnapshot(name)
 			if !ok {

@@ -8,6 +8,7 @@ package pktgen
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -162,6 +163,11 @@ func ShardOf(key []byte, n int) int {
 	return int(FlowHash(key) % uint32(n))
 }
 
+// MaxShards is the most sub-traces Shard partitions into. It bounds the
+// RSS queue count everywhere the tree shards (runtime.MaxShards), and
+// lets Shard tag each packet's shard id in a single byte.
+const MaxShards = 64
+
 // Shard hash-partitions the trace into n sub-traces by flow 5-tuple,
 // as NIC RSS spreads flows across receive queues: all packets of one
 // flow land in the same shard, in their original relative order, and
@@ -169,33 +175,81 @@ func ShardOf(key []byte, n int) int {
 // sub-trace keeps the full flow table (FlowKeys, which FlowOf indexes)
 // so per-shard NF construction preloads identical tables regardless of
 // shard count — the per-CPU replica model. Packets are deep-copied;
-// shards are safe to mutate independently.
+// shards are safe to mutate independently. n must be at most
+// MaxShards.
+//
+// One pass tags every packet with its shard and counts each shard's
+// packets; each per-packet field is then copied once into a backing
+// array of exactly the trace's length, carved into per-shard slices at
+// their exact sizes, so no sub-trace ever regrows.
 func (t *Trace) Shard(n int) []*Trace {
 	if n <= 1 {
 		return []*Trace{t.Clone()}
 	}
-	shards := make([]*Trace, n)
-	for s := range shards {
-		shards[s] = &Trace{
-			FlowKeys: append([][nf.KeyLen]byte(nil), t.FlowKeys...),
+	if n > MaxShards {
+		panic(fmt.Sprintf("pktgen: %d shards exceeds MaxShards (%d)", n, MaxShards))
+	}
+	ids := make([]uint8, len(t.Packets))
+	var counts [MaxShards]int
+	for i := range t.Packets {
+		s := ShardOf(t.Packets[i].Key(), n)
+		ids[i] = uint8(s)
+		counts[s]++
+	}
+
+	packets, flowOf, labels, arrival := alike(t.Packets), alike(t.FlowOf), alike(t.Labels), alike(t.Arrival)
+	keys := make([][nf.KeyLen]byte, n*len(t.FlowKeys))
+	subs := make([]Trace, n)
+	out := make([]*Trace, n)
+	off := 0
+	for s := range subs {
+		c := counts[s]
+		sub := &subs[s]
+		*sub = Trace{
+			Packets:  carve(packets, off, c),
+			FlowKeys: carve(keys, s*len(t.FlowKeys), len(t.FlowKeys)),
+			FlowOf:   carve(flowOf, off, c),
+			Labels:   carve(labels, off, c),
+			Arrival:  carve(arrival, off, c),
 			Windows:  append([]Window(nil), t.Windows...),
 			Scenario: t.Scenario,
 		}
+		sub.FlowKeys = append(sub.FlowKeys, t.FlowKeys...)
+		out[s] = sub
+		off += c
 	}
-	for i := range t.Packets {
-		s := shards[ShardOf(t.Packets[i].Key(), n)]
-		s.Packets = append(s.Packets, t.Packets[i])
-		if t.FlowOf != nil {
-			s.FlowOf = append(s.FlowOf, t.FlowOf[i])
+	for i, s := range ids {
+		sub := &subs[s]
+		sub.Packets = append(sub.Packets, t.Packets[i])
+		if flowOf != nil {
+			sub.FlowOf = append(sub.FlowOf, t.FlowOf[i])
 		}
-		if t.Labels != nil {
-			s.Labels = append(s.Labels, t.Labels[i])
+		if labels != nil {
+			sub.Labels = append(sub.Labels, t.Labels[i])
 		}
-		if t.Arrival != nil {
-			s.Arrival = append(s.Arrival, t.Arrival[i])
+		if arrival != nil {
+			sub.Arrival = append(sub.Arrival, t.Arrival[i])
 		}
 	}
-	return shards
+	return out
+}
+
+// alike allocates a zeroed backing array as long as src; nil for nil.
+func alike[T any](src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return make([]T, len(src))
+}
+
+// carve returns buf[off:off+n] emptied for appending, its capacity
+// capped at n so appends never cross into the next shard's region; nil
+// when there is nothing to carve, as appending from nil would leave it.
+func carve[T any](buf []T, off, n int) []T {
+	if buf == nil || n == 0 {
+		return nil
+	}
+	return buf[off : off : off+n]
 }
 
 // Clone deep-copies the trace. Differential replay needs bit-identical

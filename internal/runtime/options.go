@@ -24,9 +24,15 @@ import (
 	"enetstl/internal/ebpf/maps"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/guard"
+	"enetstl/internal/pktgen"
 	"enetstl/internal/rpool"
 	"enetstl/internal/trace"
 )
+
+// MaxShards bounds Options.Shards: every shard is a built instance and,
+// in the daemon, a goroutine per batch, so one request must not be able
+// to ask for a million of them.
+const MaxShards = pktgen.MaxShards
 
 // ErrQuota reports a per-tenant resource quota breach at construction
 // time (map memory, rpool capacity). The daemon maps it to HTTP 429.
@@ -44,7 +50,8 @@ type Options struct {
 	// inherits the process default.
 	MapImpl string `json:"map_impl,omitempty"`
 	// Shards is the RSS shard count (instances replaying concurrently
-	// over a flow-hash-partitioned stream). 0 and 1 both mean unsharded.
+	// over a flow-hash-partitioned stream), at most MaxShards. 0 and 1
+	// both mean unsharded.
 	Shards int `json:"shards,omitempty"`
 	// PerCPU backs sharded instances with one shared per-CPU map
 	// (private per-shard copies) where the NF has per-CPU wiring.
@@ -177,8 +184,8 @@ func (o Options) Validate() error {
 	if _, err := o.ResolveMapImpl(); err != nil {
 		return err
 	}
-	if o.Shards < 0 {
-		return fmt.Errorf("runtime: negative shards %d", o.Shards)
+	if o.Shards < 0 || o.Shards > MaxShards {
+		return fmt.Errorf("runtime: shards %d outside [0,%d]", o.Shards, MaxShards)
 	}
 	if t := o.Trace; t != nil {
 		if t.SampleRate < 0 || t.SampleRate > 1 {

@@ -50,6 +50,7 @@ func TestValidate(t *testing.T) {
 		{Tier: "turbo"},
 		{MapImpl: "cuckoo"},
 		{Shards: -1},
+		{Shards: MaxShards + 1},
 		{Trace: &TraceOptions{SampleRate: 1.5}},
 		{Trace: &TraceOptions{Capacity: -1}},
 		{Guard: &GuardOptions{ResumeFrac: 2}},
@@ -62,6 +63,9 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero Options rejected: %v", err)
+	}
+	if err := (Options{Shards: MaxShards}).Validate(); err != nil {
+		t.Fatalf("MaxShards rejected: %v", err)
 	}
 }
 
